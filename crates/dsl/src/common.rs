@@ -5,7 +5,6 @@ use aohpc_env::{
 };
 use aohpc_mem::PoolHandle;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A DSL processing system: something that can describe the Env of its target
@@ -122,19 +121,6 @@ pub fn build_tiled_env_with_topology<C: Cell>(
     (b.build(), data)
 }
 
-/// Map from block origin to block id — used by initialisation code that needs
-/// to find the block holding an arbitrary storage position without a tree
-/// search.
-pub fn origin_index<C: Cell>(env: &Env<C>) -> HashMap<(i64, i64), aohpc_env::BlockId> {
-    env.data_block_ids()
-        .into_iter()
-        .map(|id| {
-            let o = env.block(id).meta.origin;
-            ((o.x, o.y), id)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,11 +143,9 @@ mod tests {
         assert_eq!(env.stats().num_data_blocks, 16);
         // root + boundary + joint + 16 data blocks
         assert_eq!(env.len(), 19);
-        let idx = origin_index(&env);
-        assert_eq!(idx.len(), 16);
         // Data blocks are created in (by, bx) row-major order; origin (16, 32)
         // is bx = 1, by = 2 → index 2 * 4 + 1 = 9.
-        assert_eq!(idx[&(16, 32)], data[9]);
+        assert_eq!(env.block(data[9]).meta.origin, GlobalAddress::new2d(16, 32));
     }
 
     #[test]

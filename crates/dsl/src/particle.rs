@@ -498,34 +498,25 @@ impl HpcApp<Bucket> for ParticleApp {
             // same global ids without communication.
             bucket_index * fill
         };
-        for bid in ctx.owned_blocks() {
-            let (ext, origin) = {
-                let b = ctx.env().block(bid);
-                (b.meta.extent, b.meta.origin)
-            };
-            for j in 0..ext.ny as i64 {
-                for i in 0..ext.nx as i64 {
-                    let g = origin + LocalAddress::new2d(i, j);
-                    let bucket_index = (g.y as usize) * bx_total + g.x as usize;
-                    let first_id = remaining_before(bucket_index);
-                    let mut bucket = Bucket::default();
-                    for k in 0..fill {
-                        let global_id = first_id + k;
-                        if global_id >= self.system.particles.count {
-                            break;
-                        }
-                        let (ox, oy) = Self::offset(k);
-                        bucket.push(Particle {
-                            id: global_id as u32,
-                            pos: [g.x as f64 + ox, g.y as f64 + oy, 0.5],
-                            vel: self.initial_velocity,
-                            acc: [0.0; 3],
-                        });
-                    }
-                    ctx.set_initial(bid, LocalAddress::new2d(i, j), bucket);
+        ctx.init_owned_blocks(|g| {
+            let bucket_index = (g.y as usize) * bx_total + g.x as usize;
+            let first_id = remaining_before(bucket_index);
+            let mut bucket = Bucket::default();
+            for k in 0..fill {
+                let global_id = first_id + k;
+                if global_id >= self.system.particles.count {
+                    break;
                 }
+                let (ox, oy) = Self::offset(k);
+                bucket.push(Particle {
+                    id: global_id as u32,
+                    pos: [g.x as f64 + ox, g.y as f64 + oy, 0.5],
+                    vel: self.initial_velocity,
+                    acc: [0.0; 3],
+                });
             }
-        }
+            bucket
+        });
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<Bucket>, _warmup: bool) -> bool {
@@ -540,27 +531,18 @@ impl HpcApp<Bucket> for ParticleApp {
         if self.sink.is_none() && self.count_sink.is_none() {
             return;
         }
-        let mut speeds = Vec::new();
-        let mut counts = Vec::new();
-        for bid in ctx.owned_blocks() {
-            let (ext, origin) = {
-                let b = ctx.env().block(bid);
-                (b.meta.extent, b.meta.origin)
-            };
-            for j in 0..ext.ny as i64 {
-                for i in 0..ext.nx as i64 {
-                    let bucket = ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                    let speed: f64 = bucket
-                        .live()
-                        .iter()
-                        .map(|p| (p.vel[0].powi(2) + p.vel[1].powi(2) + p.vel[2].powi(2)).sqrt())
-                        .sum();
-                    let addr = origin + LocalAddress::new2d(i, j);
-                    speeds.push((addr, speed));
-                    counts.push((addr, bucket.count as f64));
-                }
-            }
-        }
+        let cells = ctx.owned_cells();
+        let mut speeds = Vec::with_capacity(cells);
+        let mut counts = Vec::with_capacity(cells);
+        ctx.visit_owned_blocks(|addr, bucket| {
+            let speed: f64 = bucket
+                .live()
+                .iter()
+                .map(|p| (p.vel[0].powi(2) + p.vel[1].powi(2) + p.vel[2].powi(2)).sqrt())
+                .sum();
+            speeds.push((addr, speed));
+            counts.push((addr, bucket.count as f64));
+        });
         if let Some(sink) = &self.sink {
             sink.lock().extend(speeds);
         }

@@ -15,7 +15,7 @@
 //! Data outside the computational domain lives in a Static Data block, as in
 //! §V-B2.
 
-use crate::common::{build_tiled_env_with_topology, origin_index, DslSystem, FieldSink, Tiling};
+use crate::common::{build_tiled_env_with_topology, DslSystem, FieldSink, Tiling};
 use aohpc_env::{Env, Extent, GlobalAddress, LocalAddress, TreeTopology};
 use aohpc_mem::PoolHandle;
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
@@ -107,6 +107,14 @@ impl UsGridSystem {
     pub fn storage_of(&self, x: i64, y: i64) -> GlobalAddress {
         let (sx, sy) = self.layout.storage_of(x, y, self.region.nx as i64, self.region.ny as i64);
         GlobalAddress::new2d(sx, sy)
+    }
+
+    /// The logical point stored at a storage address (`None` outside the
+    /// domain).
+    pub fn logical_of(&self, s: GlobalAddress) -> Option<(i64, i64)> {
+        let (nx, ny) = (self.region.nx as i64, self.region.ny as i64);
+        (s.x >= 0 && s.y >= 0 && s.x < nx && s.y < ny)
+            .then(|| self.layout.logical_of(s.x, s.y, nx, ny))
     }
 
     /// Storage address representing an out-of-domain neighbour: a slot in the
@@ -242,34 +250,22 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
     }
 
     fn initialize(&mut self, ctx: &mut TaskCtx<UsCell>) {
-        // Iterate logical points; write each into its storage position if the
-        // owning block belongs to this rank.
-        let owned = ctx.owned_blocks();
-        let by_origin = origin_index(ctx.env().as_ref());
-        let owned_set: std::collections::HashSet<_> = owned.iter().copied().collect();
-        let (nx, ny) = (self.system.region.nx as i64, self.system.region.ny as i64);
-        let bs = self.system.block_size as i64;
-        for y in 0..ny {
-            for x in 0..nx {
-                let s = self.system.storage_of(x, y);
-                let origin = ((s.x / bs) * bs, (s.y / bs) * bs);
-                let Some(&bid) = by_origin.get(&origin) else { continue };
-                if !owned_set.contains(&bid) {
-                    continue;
-                }
-                let cell = UsCell {
-                    value: Self::initial_value(x, y),
-                    neighbors: [
-                        self.system.neighbor_address(x, y, 0, -1),
-                        self.system.neighbor_address(x, y, -1, 0),
-                        self.system.neighbor_address(x, y, 1, 0),
-                        self.system.neighbor_address(x, y, 0, 1),
-                    ],
-                };
-                let local = LocalAddress::new2d(s.x - origin.0, s.y - origin.1);
-                ctx.set_initial(bid, local, cell);
-            }
-        }
+        // The layout is a permutation of the domain, so every storage
+        // position of an owned block holds exactly one logical point, found by
+        // inverting the layout; each block is then written in one bulk call.
+        let system = &self.system;
+        ctx.init_owned_blocks(|s| match system.logical_of(s) {
+            Some((x, y)) => UsCell {
+                value: Self::initial_value(x, y),
+                neighbors: [
+                    system.neighbor_address(x, y, 0, -1),
+                    system.neighbor_address(x, y, -1, 0),
+                    system.neighbor_address(x, y, 1, 0),
+                    system.neighbor_address(x, y, 0, 1),
+                ],
+            },
+            None => UsCell::default(),
+        });
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<UsCell>, _warmup: bool) -> bool {
@@ -310,20 +306,9 @@ impl HpcApp<UsCell> for UsGridJacobiApp {
         if let Some(sink) = &self.sink {
             // Report values keyed by storage address; tests invert the layout
             // when they need logical positions.
-            let mut out = Vec::new();
-            for bid in ctx.owned_blocks() {
-                let (ext, origin) = {
-                    let b = ctx.env().block(bid);
-                    (b.meta.extent, b.meta.origin)
-                };
-                for j in 0..ext.ny as i64 {
-                    for i in 0..ext.nx as i64 {
-                        let v = ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                        out.push((origin + LocalAddress::new2d(i, j), v.value));
-                    }
-                }
-            }
-            sink.lock().extend(out);
+            let mut field = sink.lock();
+            field.reserve_exact(ctx.owned_cells());
+            ctx.visit_owned_blocks(|addr, cell| field.push((addr, cell.value)));
         }
     }
 }

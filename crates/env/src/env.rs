@@ -550,6 +550,65 @@ impl<C: Cell> Env<C> {
         }
     }
 
+    /// Read every cell of `start` into `out`, in linear-index order — the
+    /// bulk form of one `GetDD` ([`Env::read_local`] with the in-block hint)
+    /// per cell, and exactly as counted: `out.len()` reads and as many
+    /// skip-search hits.
+    ///
+    /// A valid buffer-bearing block is copied under one lock.  Any other block
+    /// (invalid, only some pages valid, or not buffer-bearing) runs the
+    /// per-cell loop, so missing-page records and `C::default()` reads are
+    /// those of the per-cell path by construction.
+    pub fn read_block(&self, start: BlockId, out: &mut [C], state: &mut AccessState) {
+        let block = &self.blocks[start];
+        let ext = block.meta.extent;
+        assert_eq!(out.len(), ext.cells(), "bulk read must cover block {start} exactly");
+        if let BlockKind::Data(buf) | BlockKind::BufferOnly(buf) = &block.kind {
+            let guard = buf.read();
+            if block.meta.is_valid() {
+                out.clone_from_slice(guard.read_buf());
+                state.counters.reads += out.len() as u64;
+                state.counters.skip_search_hits += out.len() as u64;
+                return;
+            }
+        }
+        for (idx, cell) in out.iter_mut().enumerate() {
+            *cell = self.read_local(start, ext.delinearize(idx), true, state).unwrap_or_default();
+        }
+    }
+
+    /// Overwrite the write buffer of `start` with `values` (linear-index
+    /// order), marking every page dirty — the bulk form of one
+    /// [`Env::write_local`] per cell, counting `values.len()` writes.
+    /// Returns `false` (as each per-cell write would) when the block holds
+    /// no cell buffers.
+    pub fn write_block(&self, start: BlockId, values: &[C], state: &mut AccessState) -> bool {
+        state.counters.writes += values.len() as u64;
+        let block = &self.blocks[start];
+        assert_eq!(values.len(), block.meta.extent.cells(), "bulk write must cover block {start}");
+        match &block.kind {
+            BlockKind::Data(buf) | BlockKind::BufferOnly(buf) => {
+                buf.write().write_all(values);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Overwrite the *read* buffer of `start` with `values` — the bulk form
+    /// of [`Env::write_initial`] over every cell.
+    pub fn write_initial_block(&self, start: BlockId, values: &[C]) -> bool {
+        let block = &self.blocks[start];
+        assert_eq!(values.len(), block.meta.extent.cells(), "bulk write must cover block {start}");
+        match &block.kind {
+            BlockKind::Data(buf) | BlockKind::BufferOnly(buf) => {
+                buf.write().write_all_to_read_buf(values);
+                true
+            }
+            _ => false,
+        }
+    }
+
     fn read_buffered_cell(
         &self,
         bid: BlockId,
@@ -1066,6 +1125,140 @@ mod tests {
                     None => prop_assert!(env.block(bid).meta.catch_all),
                 }
             }
+        }
+    }
+
+    /// The bulk block accessors against the per-cell `GetDD` / `SetD` /
+    /// initial-write loops they replace: same values, all thirteen counters,
+    /// the same dirty pages and the same missing-page list, whatever the
+    /// block shape, page size and validity.
+    mod bulk_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One data block of `ext` at a non-zero origin with a Dirichlet
+        /// boundary, cell `idx` initialised to `idx + 0.5` in bulk or per
+        /// cell, then made valid (0), invalid (1) or valid only on the pages
+        /// whose bit is set in `mask` (2).
+        fn env_with(
+            ext: Extent,
+            cpp: usize,
+            bulk_init: bool,
+            validity: u8,
+            mask: u64,
+        ) -> (Env<f64>, BlockId) {
+            let mut b = EnvBuilder::<f64>::new(PoolHandle::unbounded(), cpp);
+            let root = b.add_empty(None);
+            b.add_arithmetic(root, Arc::new(|_| -1.0), true);
+            let joint = b.add_empty(Some(root));
+            let id = b.add_data(joint, GlobalAddress::new2d(2, 3), ext, 0).unwrap();
+            let env = b.build();
+            env.block(id).meta.set_dm_tid(Some(0));
+            let init: Vec<f64> = (0..ext.cells()).map(|idx| idx as f64 + 0.5).collect();
+            if bulk_init {
+                assert!(env.write_initial_block(id, &init));
+            } else {
+                for (idx, v) in init.iter().enumerate() {
+                    assert!(env.write_initial(id, ext.delinearize(idx), *v));
+                }
+            }
+            if validity > 0 {
+                env.set_block_valid(id, false).unwrap();
+            }
+            if validity == 2 {
+                for page in 0..env.num_pages(id).unwrap() {
+                    if mask >> (page % 64) & 1 == 1 {
+                        let payload = env.extract_page(id, page).unwrap();
+                        env.install_page(id, page, &payload).unwrap();
+                    }
+                }
+            }
+            (env, id)
+        }
+
+        fn buffer_state(env: &Env<f64>, id: BlockId) -> (Vec<f64>, Vec<PageId>) {
+            match &env.block(id).kind {
+                BlockKind::Data(buf) => {
+                    let guard = buf.read();
+                    (guard.read_buf().to_vec(), guard.pages().dirty_pages())
+                }
+                _ => unreachable!("data block"),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn bulk_access_matches_the_per_cell_loop(
+                nx in 1usize..12,
+                ny in 1usize..12,
+                nz in 1usize..3,
+                cpp in 1usize..40,
+                validity in 0u8..3,
+                mask in any::<u64>(),
+                mmat in any::<bool>(),
+            ) {
+                let ext = Extent::new3d(nx, ny, nz);
+                let (bulk_env, id) = env_with(ext, cpp, true, validity, mask);
+                let (cell_env, _) = env_with(ext, cpp, false, validity, mask);
+                prop_assert_eq!(buffer_state(&bulk_env, id), buffer_state(&cell_env, id));
+                let state = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                let (mut bulk, mut cell) = (state(), state());
+
+                let mut got = vec![f64::NAN; ext.cells()];
+                bulk_env.read_block(id, &mut got, &mut bulk);
+                let want: Vec<f64> = (0..ext.cells())
+                    .map(|idx| {
+                        cell_env.read_local(id, ext.delinearize(idx), true, &mut cell).unwrap_or_default()
+                    })
+                    .collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(bulk.counters, cell.counters);
+                prop_assert_eq!(bulk.missing(), cell.missing());
+                prop_assert_eq!(bulk.mmat.len(), cell.mmat.len());
+
+                let next: Vec<f64> = (0..ext.cells()).map(|idx| idx as f64 * -2.0).collect();
+                prop_assert!(bulk_env.write_block(id, &next, &mut bulk));
+                for (idx, v) in next.iter().enumerate() {
+                    prop_assert!(cell_env.write_local(id, ext.delinearize(idx), *v, &mut cell));
+                }
+                prop_assert_eq!(bulk.counters, cell.counters);
+                prop_assert_eq!(buffer_state(&bulk_env, id), buffer_state(&cell_env, id));
+                bulk_env.swap_owned_buffers(0);
+                cell_env.swap_owned_buffers(0);
+                prop_assert_eq!(buffer_state(&bulk_env, id), buffer_state(&cell_env, id));
+            }
+        }
+
+        /// A starting block without cell buffers takes the per-cell path:
+        /// reads resolve through the block kind, writes are refused but
+        /// still counted.
+        #[test]
+        fn non_buffer_blocks_fall_back_to_the_per_cell_path() {
+            let mut b = EnvBuilder::<f64>::new(PoolHandle::unbounded(), 2);
+            let root = b.add_empty(None);
+            let s = b.add_static(
+                root,
+                GlobalAddress::new2d(0, 0),
+                Extent::new2d(2, 2),
+                vec![1.0, 2.0, 3.0, 4.0],
+            );
+            let env = b.build();
+            let (mut bulk, mut cell) = (AccessState::new(), AccessState::new());
+            let mut got = [0.0; 4];
+            env.read_block(s, &mut got, &mut bulk);
+            let want: Vec<f64> = (0..4)
+                .map(|idx| {
+                    let la = Extent::new2d(2, 2).delinearize(idx);
+                    env.read_local(s, la, true, &mut cell).unwrap_or_default()
+                })
+                .collect();
+            assert_eq!(got.to_vec(), want);
+            assert_eq!(bulk.counters, cell.counters);
+            assert_eq!(bulk.counters.static_reads, 4);
+
+            assert!(!env.write_block(s, &[0.0; 4], &mut bulk));
+            assert!(!env.write_initial_block(s, &[0.0; 4]));
+            assert_eq!(bulk.counters.writes, 4);
         }
     }
 

@@ -4,14 +4,21 @@
 //! not hand-written Rust but a [`StencilProgram`] compiled per block shape.
 //! One step per block is:
 //!
-//! 1. gather the block's current values with the `GetDD` fast path (one
-//!    platform access per cell instead of one per load — the access
-//!    resolution of all interior loads was cached at compile time);
+//! 1. gather the block's current values with the bulk `GetDD`
+//!    ([`TaskCtx::get_block`]: one lock and one copy per block, counted as
+//!    one platform access per cell — the access resolution of all interior
+//!    loads was cached at compile time);
 //! 2. execute the compiled kernel on the chosen backend, fetching only the
 //!    true out-of-block halo values through the platform (`GetD` without the
 //!    in-block assertion, so MMAT / Env-search accounting still applies);
-//! 3. write the results back with `SetD` and finish the step with `refresh`,
-//!    exactly like a hand-written kernel.
+//! 3. write the results back with the bulk `SetD` ([`TaskCtx::set_block`])
+//!    and finish the step with `refresh`, exactly like a hand-written kernel.
+//!
+//! The bulk forms copy in and out rather than lending the kernel a view of
+//! the block's buffers: a view would hold the block's lock across the halo
+//! closure, and a Reference boundary mapping back into the same block would
+//! then deadlock on it, while other tasks' halo reads of the block would
+//! stall for the whole kernel.
 //!
 //! Because steps 1–3 use the same Annotation/Memory-Library join points as
 //! Listing 1, every aspect module (MPI, OpenMP, hybrid) applies unchanged —
@@ -24,7 +31,7 @@ use crate::opt::{OptLevel, OptStats};
 use crate::plan::{CompiledKernel, PlanSource};
 use crate::program::StencilProgram;
 use crate::tape::{ExecScratch, ScratchPool};
-use aohpc_env::{Extent, GlobalAddress, LocalAddress};
+use aohpc_env::{BlockId, Extent, GlobalAddress, LocalAddress};
 use aohpc_runtime::{HpcApp, TaskCtx, TaskSlot};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -58,6 +65,37 @@ impl KernelScratch {
         let exec = pool.as_deref().map(ScratchPool::acquire).unwrap_or_default();
         KernelScratch { exec, cells: Vec::new(), out: Vec::new(), pool }
     }
+
+    /// One block of an [`IrStencilApp`] step: gather block `bid`'s current
+    /// values (bulk `GetDD`), execute `compiled` on `processor` with halo
+    /// loads going back through the platform, and scatter the next values
+    /// (bulk `SetD`).  Allocation-free once the scratch is warm for the
+    /// block's shape.
+    pub fn step_block(
+        &mut self,
+        ctx: &mut TaskCtx<f64>,
+        bid: BlockId,
+        compiled: &CompiledKernel,
+        params: &[f64],
+        processor: Processor,
+    ) -> ExecStats {
+        let cells = ctx.env().block(bid).meta.extent.cells();
+        self.cells.resize(cells, 0.0);
+        ctx.get_block(bid, &mut self.cells);
+        self.out.resize(cells, 0.0);
+        let mut stats = ExecStats::default();
+        compiled.execute_block(
+            &self.cells,
+            params,
+            &mut |x, y| ctx.get(bid, LocalAddress::new2d(x, y), false),
+            &mut self.out,
+            processor,
+            &mut stats,
+            &mut self.exec,
+        );
+        ctx.set_block(bid, &self.out);
+        stats
+    }
 }
 
 impl Drop for KernelScratch {
@@ -78,6 +116,14 @@ pub type StatsSink = Arc<Mutex<PerProcessorStats>>;
 /// Create an empty field sink.
 pub fn new_stencil_field_sink() -> StencilFieldSink {
     Arc::new(Mutex::new(Vec::new()))
+}
+
+/// Append every cell `ctx`'s rank owns to `sink` as `(address, value)`: one
+/// bulk read per block, into room reserved exactly once.
+pub fn sink_owned_field(ctx: &mut TaskCtx<f64>, sink: &StencilFieldSink) {
+    let mut field = sink.lock();
+    field.reserve_exact(ctx.owned_cells());
+    ctx.visit_owned_blocks(|addr, &value| field.push((addr, value)));
 }
 
 /// Create an empty statistics sink.
@@ -233,18 +279,7 @@ impl HpcApp<f64> for IrStencilApp {
     }
 
     fn initialize(&mut self, ctx: &mut TaskCtx<f64>) {
-        for bid in ctx.owned_blocks() {
-            let (ext, origin) = {
-                let b = ctx.env().block(bid);
-                (b.meta.extent, b.meta.origin)
-            };
-            for j in 0..ext.ny as i64 {
-                for i in 0..ext.nx as i64 {
-                    let g = origin + LocalAddress::new2d(i, j);
-                    ctx.set_initial(bid, LocalAddress::new2d(i, j), (self.init)(g));
-                }
-            }
-        }
+        ctx.init_owned_blocks(&*self.init);
     }
 
     fn kernel(&mut self, ctx: &mut TaskCtx<f64>, _warmup: bool) -> bool {
@@ -269,41 +304,14 @@ impl HpcApp<f64> for IrStencilApp {
             // (cold) block.
             let compiled = self.compiled_for(ext);
             compiled.prepare_scratch(&mut scratch.exec, processor);
-            let (nx, ny) = (ext.nx, ext.ny);
 
             // The whole gather → execute → write-back unit runs through the
             // `Kernel::execute_block` join point, so instrumentation aspects
             // can bracket real per-block work; with no matching advice this
             // is a plain call.
-            ctx.run_block(bid as i64, nx * ny, |ctx| {
-                // 1. Gather the block's current values (GetDD fast path).
-                scratch.cells.resize(nx * ny, 0.0);
-                for idx in 0..nx * ny {
-                    let la = ext.delinearize(idx);
-                    scratch.cells[idx] = ctx.get_dd(bid, la);
-                }
-
-                // 2. Execute on the assigned backend; halo loads go back
-                //    through the platform so MMAT / Env-search semantics are
-                //    preserved.
-                scratch.out.resize(nx * ny, 0.0);
-                let mut stats = ExecStats::default();
-                let KernelScratch { exec, cells, out, .. } = &mut scratch;
-                compiled.execute_block(
-                    cells,
-                    &self.params,
-                    &mut |x, y| ctx.get(bid, LocalAddress::new2d(x, y), false),
-                    out,
-                    processor,
-                    &mut stats,
-                    exec,
-                );
+            ctx.run_block(bid as i64, ext.cells(), |ctx| {
+                let stats = scratch.step_block(ctx, bid, &compiled, &self.params, processor);
                 step_stats.record(processor, &stats);
-
-                // 3. Write the next-step values back (SetD).
-                for (idx, &value) in scratch.out.iter().enumerate() {
-                    ctx.set(bid, ext.delinearize(idx), value);
-                }
             });
         }
         ctx.put_scratch(scratch);
@@ -315,20 +323,7 @@ impl HpcApp<f64> for IrStencilApp {
 
     fn finalize(&mut self, ctx: &mut TaskCtx<f64>) {
         if let Some(sink) = &self.field_sink {
-            let mut outputs = Vec::new();
-            for bid in ctx.owned_blocks() {
-                let (ext, origin) = {
-                    let b = ctx.env().block(bid);
-                    (b.meta.extent, b.meta.origin)
-                };
-                for j in 0..ext.ny as i64 {
-                    for i in 0..ext.nx as i64 {
-                        let v = ctx.get_dd(bid, LocalAddress::new2d(i, j));
-                        outputs.push((origin + LocalAddress::new2d(i, j), v));
-                    }
-                }
-            }
-            sink.lock().extend(outputs);
+            sink_owned_field(ctx, sink);
         }
     }
 }

@@ -68,8 +68,8 @@ pub mod spec;
 pub mod tape;
 
 pub use app::{
-    default_initial_value, new_stats_sink, new_stencil_field_sink, InitFn, IrStencilApp,
-    KernelScratch, StatsSink, StencilFieldSink,
+    default_initial_value, new_stats_sink, new_stencil_field_sink, sink_owned_field, InitFn,
+    IrStencilApp, KernelScratch, StatsSink, StencilFieldSink,
 };
 pub use backend::{ExecStats, Processor, LANES};
 pub use expr::{jacobi_5pt, lit, load, param, smooth_9pt, BinOp, KernelExpr, UnaryOp};

@@ -6,11 +6,16 @@
 //! Counted with `aohpc-testalloc`'s thread-scoped tracking allocator, so
 //! concurrent libtest harness threads cannot contribute stray counts.
 
+use aohpc_aop::WovenProgram;
+use aohpc_dsl::{DslSystem, SGridSystem};
 use aohpc_env::Extent;
 use aohpc_kernel::{
-    lit, load, param, CompiledKernel, ExecScratch, ExecStats, OptLevel, Processor, ScratchPool,
-    StencilProgram,
+    lit, load, param, CompiledKernel, ExecScratch, ExecStats, IrStencilApp, KernelScratch,
+    OptLevel, Processor, ScratchPool, StencilProgram,
 };
+use aohpc_runtime::{HpcApp, RankShared, TaskCtx, Topology};
+use aohpc_workloads::RegionSize;
+use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: aohpc_testalloc::CountingAlloc = aohpc_testalloc::CountingAlloc;
@@ -202,4 +207,64 @@ fn pooled_scratch_stays_warm_across_job_churn() {
     });
     assert_eq!(allocs, 0, "churn must not cool the surviving scratch");
     assert_eq!(pool.stats().reused, 7, "jobs 2..6, the held check-out, and the final job");
+}
+
+/// Regression: the whole per-block unit of an `IrStencilApp` step — bulk
+/// gather through the task context, compiled execute with halo reads back
+/// through the platform, bulk scatter — performs zero heap allocations once
+/// the kernel scratch is warm, on every backend.
+#[test]
+fn warm_ir_app_blocks_through_the_task_ctx_are_allocation_free() {
+    let (n, block) = (64usize, 16usize);
+    let env = SGridSystem::with_block_size(RegionSize::square(n), block).build_env();
+    for id in env.data_block_ids() {
+        env.block(id).meta.set_dm_tid(Some(0));
+        env.block(id).meta.set_ch_tid(Some(0));
+    }
+    let topology = Topology::serial();
+    let shared = Arc::new(RankShared::new(topology.clone(), 0, None, false));
+    let mut ctx = TaskCtx::new(
+        topology.slot(0, 0),
+        Arc::new(env),
+        shared,
+        WovenProgram::unwoven(),
+        false,
+        false,
+    );
+    let program = StencilProgram::jacobi_5pt();
+    let params = [0.5, 0.125];
+    IrStencilApp::new(program.clone(), params.to_vec(), 1).initialize(&mut ctx);
+    let blocks = ctx.get_blocks();
+    assert_eq!(blocks.len(), (n / block).pow(2));
+    let compiled = CompiledKernel::compile(&program, Extent::new2d(block, block), OptLevel::Full);
+    let mut scratch = KernelScratch::default();
+
+    for proc in [Processor::Scalar, Processor::Simd, Processor::Accelerator] {
+        compiled.prepare_scratch(&mut scratch.exec, proc);
+        // Warm-up step: sizes the gather/result staging vectors.
+        for &bid in &blocks {
+            scratch.step_block(&mut ctx, bid, &compiled, &params, proc);
+        }
+        assert!(ctx.refresh());
+
+        for _ in 0..3 {
+            let before = ctx.state.counters;
+            let (_, allocs) = aohpc_testalloc::count_in(|| {
+                for &bid in &blocks {
+                    let stats = scratch.step_block(&mut ctx, bid, &compiled, &params, proc);
+                    assert!(stats.boundary_cells > 0);
+                }
+            });
+            assert_eq!(
+                allocs, 0,
+                "{proc:?}: warm IrStencilApp blocks must not touch the heap ({allocs} allocs over {} blocks)",
+                blocks.len()
+            );
+            // The bulk gather and scatter count one access per cell.
+            let cells = (n * n) as u64;
+            assert_eq!(ctx.state.counters.skip_search_hits - before.skip_search_hits, cells);
+            assert_eq!(ctx.state.counters.writes - before.writes, cells);
+            assert!(ctx.refresh());
+        }
+    }
 }

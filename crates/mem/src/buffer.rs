@@ -113,6 +113,21 @@ impl<C: Clone + Default> MultiBuffer<C> {
         self.pages.mark_cell_dirty(idx);
     }
 
+    /// Overwrite the whole write buffer with `cells`, marking every page
+    /// dirty — the bulk form of [`MultiBuffer::write_cell`] over every index.
+    pub fn write_all(&mut self, cells: &[C]) {
+        let w = self.write_idx();
+        self.buffers[w].clone_from_slice(cells);
+        self.pages.mark_all_dirty();
+    }
+
+    /// Overwrite the whole *read* buffer with `cells` (bulk initialisation;
+    /// no page becomes dirty).
+    pub fn write_all_to_read_buf(&mut self, cells: &[C]) {
+        let r = self.read_idx;
+        self.buffers[r].clone_from_slice(cells);
+    }
+
     /// Write one cell into the *read* buffer directly.
     ///
     /// Used when data arrives from another task (the received page is the
@@ -300,6 +315,33 @@ mod tests {
     fn install_page_size_mismatch_panics() {
         let mut b: MultiBuffer<i64> = MultiBuffer::unpooled(10, 2, 4);
         b.install_page(0, &[1, 2]);
+    }
+
+    #[test]
+    fn bulk_writes_match_per_cell_writes() {
+        let values: Vec<u32> = (0..10).collect();
+        let mut bulk: MultiBuffer<u32> = MultiBuffer::unpooled(10, 2, 4);
+        let mut cells: MultiBuffer<u32> = MultiBuffer::unpooled(10, 2, 4);
+        bulk.write_all(&values);
+        for (i, v) in values.iter().enumerate() {
+            cells.write_cell(i, *v);
+        }
+        assert_eq!(bulk.pages(), cells.pages(), "every page dirty, as per-cell writes leave it");
+        assert_eq!(bulk.read_buf(), cells.read_buf());
+        bulk.swap();
+        cells.swap();
+        assert_eq!(bulk.read_buf(), cells.read_buf());
+
+        bulk.write_all_to_read_buf(&[7; 10]);
+        assert_eq!(bulk.read_buf(), &[7; 10]);
+        assert!(bulk.pages().dirty_pages().is_empty(), "init writes are not dirty");
+    }
+
+    #[test]
+    #[should_panic]
+    fn bulk_write_length_mismatch_panics() {
+        let mut mb: MultiBuffer<u8> = MultiBuffer::unpooled(4, 2, 2);
+        mb.write_all(&[1, 2]);
     }
 
     #[test]

@@ -88,6 +88,13 @@ impl PageTable {
         self.flags[p].dirty = true;
     }
 
+    /// Mark every page dirty (a whole-buffer write).
+    pub fn mark_all_dirty(&mut self) {
+        for f in &mut self.flags {
+            f.dirty = true;
+        }
+    }
+
     /// Mark one page valid/invalid.
     pub fn set_valid(&mut self, page: PageId, valid: bool) {
         self.flags[page].valid = valid;

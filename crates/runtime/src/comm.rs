@@ -35,6 +35,9 @@
 //! buffer needs `&mut`), a rank that dedicates a thread to the fabric hands
 //! that thread the [`Communicator`] and keeps a cloneable [`ControlHandle`]
 //! (send-only) and a [`CommProbe`] (stats-only) for everyone else.
+//!
+//! A superstep receive polls before it blocks (see [`SUPERSTEP_POLL`]), the
+//! way MPI progress engines busy-wait when every rank has a CPU of its own.
 
 use aohpc_env::BlockId;
 use aohpc_mem::PageId;
@@ -42,7 +45,28 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+/// How long a superstep receive ([`Communicator::allreduce_and`],
+/// [`Communicator::exchange`]) polls the mesh, yielding between polls,
+/// before it blocks.
+///
+/// A rank that blocks is woken by its peer's send, and the scheduler may
+/// wake it on the peer's CPU: the two ranks then share one CPU for
+/// milliseconds while another idles, and a job's time changes from run to
+/// run with where its ranks happened to land.  A rank that polls keeps its
+/// CPU.  Polling yields, so another runnable thread on the CPU still gets
+/// it, and it is bounded, so a long wait still ends in a blocking receive.
+/// Meshes with more ranks than the process has CPUs block at once, since
+/// there a polling rank would take CPU time from the rank it waits for.
+pub const SUPERSTEP_POLL: Duration = Duration::from_millis(2);
+
+/// CPUs available to the process, read once.
+fn available_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// One page in flight: which block/page it is and its cells.
 #[derive(Debug, Clone)]
@@ -318,6 +342,9 @@ pub struct Communicator<C> {
     pending: std::collections::VecDeque<RankMessage<C>>,
     cell_bytes: usize,
     counters: Arc<CommCounters>,
+    /// Whether superstep receives poll before blocking: every rank of the
+    /// mesh can have a CPU of its own (see [`SUPERSTEP_POLL`]).
+    poll: bool,
 }
 
 impl<C: Clone + Send + 'static> Communicator<C> {
@@ -326,6 +353,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
         assert!(size > 0);
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
+        let poll = size > 1 && size <= available_cpus();
         for _ in 0..size {
             let (s, r) = unbounded();
             senders.push(s);
@@ -342,6 +370,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
                 pending: std::collections::VecDeque::new(),
                 cell_bytes: std::mem::size_of::<C>().max(1),
                 counters: Arc::new(CommCounters::default()),
+                poll,
             })
             .collect()
     }
@@ -392,6 +421,24 @@ impl<C: Clone + Send + 'static> Communicator<C> {
         Some(msg)
     }
 
+    /// [`Communicator::pull`] inside a superstep: poll for up to
+    /// [`SUPERSTEP_POLL`] first when the mesh fits the CPUs.
+    fn pull_superstep(&mut self) -> Option<RankMessage<C>> {
+        if self.poll {
+            let deadline = Instant::now() + SUPERSTEP_POLL;
+            loop {
+                if let Some(msg) = self.try_pull() {
+                    return Some(msg);
+                }
+                if Instant::now() >= deadline {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        self.pull()
+    }
+
     /// Non-blocking [`Communicator::pull`].
     fn try_pull(&mut self) -> Option<RankMessage<C>> {
         let msg = self.receiver.try_recv().ok()?;
@@ -433,7 +480,7 @@ impl<C: Clone + Send + 'static> Communicator<C> {
             return self.pending.remove(pos).expect("position just found");
         }
         loop {
-            let msg = self.pull().expect("mesh disconnected");
+            let msg = self.pull_superstep().expect("mesh disconnected");
             if wanted(&msg) {
                 return msg;
             }
@@ -695,6 +742,33 @@ mod tests {
         assert_eq!(stats1.bytes_received, 3 * 8, "page payload metered on receive");
         assert_eq!(c0.stats().pages_sent, 1);
         assert_eq!(c0.stats().bytes_sent, 3 * 8);
+    }
+
+    #[test]
+    fn superstep_receives_poll_only_when_every_rank_has_a_cpu() {
+        assert!(!Communicator::<f64>::mesh(1)[0].poll, "a single rank never waits");
+        let crowded = Communicator::<f64>::mesh(available_cpus() + 1);
+        assert!(crowded.iter().all(|c| !c.poll), "more ranks than CPUs block at once");
+        if available_cpus() >= 2 {
+            assert!(Communicator::<f64>::mesh(2).iter().all(|c| c.poll));
+        }
+    }
+
+    #[test]
+    fn a_wait_longer_than_the_poll_ends_in_a_blocking_receive() {
+        let mut comms = Communicator::<f64>::mesh(2).into_iter();
+        let (mut c0, mut c1) = (comms.next().unwrap(), comms.next().unwrap());
+        let late = thread::spawn(move || {
+            thread::sleep(SUPERSTEP_POLL * 3);
+            let ok = c1.allreduce_and(true);
+            let (pages, _) = c1.exchange(&[(0, vec![(3, 1)])], true, |_, _| vec![]);
+            (ok, pages)
+        });
+        assert!(c0.allreduce_and(true));
+        let (pages0, ok0) = c0.exchange(&[], true, |b, p| vec![(b * 10 + p) as f64]);
+        let (ok1, pages1) = late.join().unwrap();
+        assert!(ok0 && ok1 && pages0.is_empty());
+        assert_eq!(pages1[0].cells, vec![31.0]);
     }
 
     #[test]

@@ -659,6 +659,56 @@ impl<C: Cell> TaskCtx<C> {
         self.env.write_initial(block, local, value)
     }
 
+    // -- Block-granular forms: one lock and one copy per block -------------
+
+    /// Read every cell of `block` into `out` (linear-index order): the bulk
+    /// `GetDD`, counted exactly like one [`TaskCtx::get_dd`] per cell.
+    pub fn get_block(&mut self, block: BlockId, out: &mut [C]) {
+        self.env.read_block(block, out, &mut self.state);
+    }
+
+    /// Write every cell of `block` from `values` (linear-index order): the
+    /// bulk `SetD`, counted exactly like one [`TaskCtx::set`] per cell.
+    pub fn set_block(&mut self, block: BlockId, values: &[C]) -> bool {
+        self.env.write_block(block, values, &mut self.state)
+    }
+
+    /// Number of cells in the blocks this task's rank owns.
+    pub fn owned_cells(&self) -> usize {
+        self.owned_blocks().iter().map(|&id| self.env.block(id).meta.extent.cells()).sum()
+    }
+
+    /// Install the initial (step-0) data of every block this task's rank
+    /// owns, one bulk write per block; `value` maps a cell's global address
+    /// to its initial value.
+    pub fn init_owned_blocks(&mut self, mut value: impl FnMut(GlobalAddress) -> C) {
+        let mut staging = Vec::new();
+        for id in self.owned_blocks() {
+            let meta = &self.env.block(id).meta;
+            let (ext, origin) = (meta.extent, meta.origin);
+            staging.clear();
+            staging.extend((0..ext.cells()).map(|idx| value(origin + ext.delinearize(idx))));
+            self.env.write_initial_block(id, &staging);
+        }
+    }
+
+    /// Read every block this task's rank owns, one bulk read per block, and
+    /// hand each cell to `visit` with its global address — blocks in Z-order,
+    /// cells in linear-index order, the order of the per-cell `GetDD` loops
+    /// a `Finalize` would otherwise run.
+    pub fn visit_owned_blocks(&mut self, mut visit: impl FnMut(GlobalAddress, &C)) {
+        let mut staging = Vec::new();
+        for id in self.owned_blocks() {
+            let meta = &self.env.block(id).meta;
+            let (ext, origin) = (meta.extent, meta.origin);
+            staging.resize(ext.cells(), C::default());
+            self.get_block(id, &mut staging);
+            for (idx, cell) in staging.iter().enumerate() {
+                visit(origin + ext.delinearize(idx), cell);
+            }
+        }
+    }
+
     /// Finish the task and emit its report.
     pub fn into_report(self) -> crate::report::TaskReport {
         if let Some(progress) = &self.progress {
@@ -727,6 +777,54 @@ mod tests {
         assert!(ctx.refresh());
         assert_eq!(ctx.get(ids[0], LocalAddress::new2d(1, 1), true), 3.5);
         assert_eq!(ctx.get_dd(ids[0], LocalAddress::new2d(1, 1)), 3.5);
+    }
+
+    #[test]
+    fn owned_block_bulk_forms_match_per_cell_loops() {
+        let (bulk_env, ids) = tiny_env();
+        let (cell_env, _) = tiny_env();
+        let mut bulk = serial_ctx(bulk_env);
+        let mut cell = serial_ctx(cell_env);
+        let ext = Extent::new2d(4, 4);
+        let value = |g: GlobalAddress| (g.x * 10 + g.y) as f64;
+
+        bulk.init_owned_blocks(value);
+        for &id in &ids {
+            for idx in 0..ext.cells() {
+                let la = ext.delinearize(idx);
+                let g = cell.env().block(id).to_global(la);
+                cell.set_initial(id, la, value(g));
+            }
+        }
+        assert_eq!(bulk.owned_cells(), 32);
+
+        // Finalize-style read-out: same cells, same order, same counters.
+        let mut seen = Vec::new();
+        bulk.visit_owned_blocks(|g, &v| seen.push((g, v)));
+        let mut want = Vec::new();
+        for &id in &ids {
+            let origin = cell.env().block(id).meta.origin;
+            for j in 0..4 {
+                for i in 0..4 {
+                    let la = LocalAddress::new2d(i, j);
+                    want.push((origin + la, cell.get_dd(id, la)));
+                }
+            }
+        }
+        assert_eq!(seen, want);
+        assert_eq!(bulk.state.counters, cell.state.counters);
+
+        // A bulk scatter publishes on refresh exactly like per-cell SetD.
+        let next: Vec<f64> = (0..16).map(f64::from).collect();
+        assert!(bulk.set_block(ids[1], &next));
+        for (idx, &v) in next.iter().enumerate() {
+            assert!(cell.set(ids[1], ext.delinearize(idx), v));
+        }
+        assert_eq!(bulk.state.counters, cell.state.counters);
+        assert!(bulk.refresh() && cell.refresh());
+        let mut got = [0.0; 16];
+        bulk.get_block(ids[1], &mut got);
+        assert_eq!(got.to_vec(), next);
     }
 
     #[test]

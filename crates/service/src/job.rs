@@ -278,10 +278,12 @@ pub struct JobReport {
     /// Meaningless when `error` is set and the failure preceded plan
     /// resolution — only count hit rates over reports with `error: None`.
     pub plan_cache_hit: bool,
-    /// Checksum of the final field.  Accumulated in sink order, so runs with
-    /// the same topology agree bit-for-bit; across different topologies the
-    /// summation order changes and equality holds only to float-accumulation
-    /// tolerance (compare with a relative epsilon).
+    /// Checksum of the final field, accumulated in sink order.  A single-rank
+    /// run appends its field in one fixed order, so repeated runs of a job
+    /// agree bit-for-bit.  Ranks of a multi-rank run append in the order they
+    /// finish, so repeated runs agree only to float-accumulation tolerance
+    /// (relative gaps around 1e-14 occur); compare those, and runs on
+    /// different topologies, with a relative epsilon such as 1e-9.
     pub checksum: f64,
     /// Deterministic simulated execution time of the run.
     pub simulated_seconds: f64,

@@ -37,6 +37,18 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
+/// The inverse of `a` modulo `n` (extended Euclid; `gcd(a, n)` must be 1).
+fn mod_inverse(a: u64, n: u64) -> u64 {
+    let (mut r0, mut r1) = (i128::from(n), i128::from(a % n));
+    let (mut t0, mut t1) = (0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (t0, t1) = (t1, t0 - q * t1);
+    }
+    t0.rem_euclid(i128::from(n)) as u64
+}
+
 impl AffinePermutation {
     /// Build a permutation of `0..n` from a seed.  The multiplier is derived
     /// from the seed and adjusted until it is coprime with `n`.
@@ -80,6 +92,14 @@ impl AffinePermutation {
         debug_assert!(i < self.n);
         (self.a.wrapping_mul(i) % self.n + self.b) % self.n
     }
+
+    /// Inverse of [`AffinePermutation::apply`].
+    pub fn invert(&self, j: u64) -> u64 {
+        debug_assert!(j < self.n);
+        let shifted = (j + self.n - self.b) % self.n;
+        let a_inv = mod_inverse(self.a, self.n);
+        (u128::from(a_inv) * u128::from(shifted) % u128::from(self.n)) as u64
+    }
 }
 
 /// The memory layout of the unstructured-grid sample.
@@ -105,6 +125,20 @@ impl GridLayout {
                 let n = (nx * ny) as u64;
                 let perm = AffinePermutation::new(n, *seed);
                 let flat = perm.apply((y * nx + x) as u64) as i64;
+                (flat % nx, flat / nx)
+            }
+        }
+    }
+
+    /// Inverse of [`GridLayout::storage_of`]: the logical point stored at
+    /// `(sx, sy)`.
+    pub fn logical_of(&self, sx: i64, sy: i64, nx: i64, ny: i64) -> (i64, i64) {
+        debug_assert!(sx >= 0 && sy >= 0 && sx < nx && sy < ny);
+        match self {
+            GridLayout::CaseC => (sx, sy),
+            GridLayout::CaseR { seed } => {
+                let perm = AffinePermutation::new((nx * ny) as u64, *seed);
+                let flat = perm.invert((sy * nx + sx) as u64) as i64;
                 (flat % nx, flat / nx)
             }
         }
@@ -192,6 +226,19 @@ mod tests {
     }
 
     proptest! {
+        /// `invert` undoes `apply`, and `logical_of` undoes `storage_of`.
+        #[test]
+        fn layouts_invert(nx in 1i64..40, ny in 1i64..40, seed in 0u64..u64::MAX, k in 0i64..1600) {
+            let (x, y) = (k % nx, (k / nx) % ny);
+            let p = AffinePermutation::new((nx * ny) as u64, seed);
+            let i = (y * nx + x) as u64;
+            prop_assert_eq!(p.invert(p.apply(i)), i);
+            for layout in [GridLayout::CaseC, GridLayout::CaseR { seed }] {
+                let (sx, sy) = layout.storage_of(x, y, nx, ny);
+                prop_assert_eq!(layout.logical_of(sx, sy, nx, ny), (x, y));
+            }
+        }
+
         /// The affine map is a bijection for arbitrary sizes and seeds.
         #[test]
         fn affine_permutation_is_bijective(n in 1u64..3000, seed in 0u64..u64::MAX) {
