@@ -217,8 +217,10 @@ impl<C: Cell> EnvBuilder<C> {
 
     /// Freeze the tree.
     pub fn build(self) -> Env<C> {
+        let catch_all = self.blocks.iter().position(|b| b.meta.catch_all);
         Env {
             blocks: self.blocks,
+            catch_all,
             cells_per_page: self.cells_per_page,
             num_buffers: self.num_buffers,
             pool: self.pool,
@@ -226,9 +228,27 @@ impl<C: Cell> EnvBuilder<C> {
     }
 }
 
+/// How a read without the in-block hint resolves ([`Env::resolve`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// Inside the starting block, at this linear cell index.
+    InBlock(usize),
+    /// Outside it: the Env search found `block` (`None`: no block holds the
+    /// address) after visiting `visited` tree nodes.
+    Searched {
+        /// The block holding the address.
+        block: Option<BlockId>,
+        /// Tree nodes the search visited.
+        visited: u64,
+    },
+}
+
 /// The Env: an arena-allocated tree of blocks.
 pub struct Env<C> {
     blocks: Vec<Block<C>>,
+    /// The first catch-all (boundary) block in tree order: where every
+    /// search that finds nothing else ends.
+    catch_all: Option<BlockId>,
     cells_per_page: usize,
     num_buffers: usize,
     pool: PoolHandle,
@@ -373,14 +393,12 @@ impl<C: Cell> Env<C> {
             current = parent;
         }
 
-        // Catch-all (boundary) blocks are consulted last, in tree order.
-        for b in &self.blocks {
-            if b.meta.catch_all {
-                visited += 1;
-                return (Some(b.meta.id), visited);
-            }
+        // Catch-all (boundary) blocks are consulted last: the first in tree
+        // order wins, visited as one node.
+        if self.catch_all.is_some() {
+            visited += 1;
         }
-        (None, visited)
+        (self.catch_all, visited)
     }
 
     fn holds_values(&self, id: BlockId) -> bool {
@@ -423,7 +441,8 @@ impl<C: Cell> Env<C> {
     /// `in_block_hint` is the statically/dynamically supplied flag asserting
     /// that the address is inside `start` (the `GetDD` fast path).  When the
     /// hint is false the resolution order is: MMAT memo (if enabled) → the
-    /// starting block → the Env search.
+    /// starting block → the Env search, i.e. [`Env::resolve`] followed by
+    /// [`Env::read_resolved`].
     pub fn read(
         &self,
         start: BlockId,
@@ -431,9 +450,8 @@ impl<C: Cell> Env<C> {
         in_block_hint: bool,
         state: &mut AccessState,
     ) -> Option<C> {
-        state.counters.reads += 1;
-
         if in_block_hint {
+            state.counters.reads += 1;
             state.counters.skip_search_hits += 1;
             let block = &self.blocks[start];
             let idx = block.cell_index(addr)?;
@@ -442,6 +460,7 @@ impl<C: Cell> Env<C> {
 
         if state.mmat_enabled {
             if let Some(entry) = state.mmat.lookup(start, addr) {
+                state.counters.reads += 1;
                 state.counters.mmat_hits += 1;
                 return match entry {
                     MmatEntry::InBlock(idx) => {
@@ -461,36 +480,67 @@ impl<C: Cell> Env<C> {
             state.counters.mmat_misses += 1;
         }
 
-        // Fast path: the starting block itself.
+        let resolution = self.resolve(start, addr);
+        if state.mmat_enabled {
+            let entry = match resolution {
+                Resolution::InBlock(idx) => MmatEntry::InBlock(idx),
+                Resolution::Searched { block: Some(bid), .. } => MmatEntry::Remote(bid),
+                Resolution::Searched { block: None, .. } => MmatEntry::NonExistent,
+            };
+            state.mmat.record(start, addr, entry);
+        }
+        self.read_resolved(start, addr, resolution, state)
+    }
+
+    /// Where a read of `addr` from `start` without the in-block hint lands:
+    /// the starting block itself, or the Env search's result and cost.
+    ///
+    /// A pure function of the tree, which is immutable once built, so a
+    /// caller may keep the result for the lifetime of the Env and replay it
+    /// with [`Env::read_resolved`] (the task context's halo plans do).
+    pub fn resolve(&self, start: BlockId, addr: GlobalAddress) -> Resolution {
         let block = &self.blocks[start];
-        if !block.meta.catch_all && block.contains(addr) {
-            state.counters.in_block_hits += 1;
+        if !block.meta.catch_all {
             if let Some(idx) = block.cell_index(addr) {
-                if state.mmat_enabled {
-                    state.mmat.record(start, addr, MmatEntry::InBlock(idx));
-                }
-                return self.read_buffered_cell(start, idx, addr, state);
+                return Resolution::InBlock(idx);
             }
         }
+        let (block, visited) = self.find_block(addr, start);
+        Resolution::Searched { block, visited }
+    }
 
-        // Slow path: search the tree.
-        state.counters.env_searches += 1;
-        let (found, visited) = self.find_block(addr, start);
-        state.counters.search_nodes_visited += visited;
-        match found {
-            Some(bid) => {
-                state.counters.out_of_block_reads += 1;
-                if state.mmat_enabled {
-                    state.mmat.record(start, addr, MmatEntry::Remote(bid));
-                }
-                self.read_value_at(bid, addr, state, 0)
+    /// Finish a read of `addr` from `start` that [`Env::resolve`] resolved to
+    /// `resolution`, counting exactly what [`Env::read`] counts for it with
+    /// MMAT disabled: one read plus either an in-block hit, or an Env search
+    /// (with its visited nodes) and an out-of-block read or a missing access.
+    /// Block and page validity are checked here, on every call, so missing
+    /// pages are recorded just as `read` records them.
+    pub fn read_resolved(
+        &self,
+        start: BlockId,
+        addr: GlobalAddress,
+        resolution: Resolution,
+        state: &mut AccessState,
+    ) -> Option<C> {
+        state.counters.reads += 1;
+        match resolution {
+            Resolution::InBlock(idx) => {
+                state.counters.in_block_hits += 1;
+                self.read_buffered_cell(start, idx, addr, state)
             }
-            None => {
-                if state.mmat_enabled {
-                    state.mmat.record(start, addr, MmatEntry::NonExistent);
+            Resolution::Searched { block, visited } => {
+                state.counters.env_searches += 1;
+                state.counters.search_nodes_visited += visited;
+                match block {
+                    Some(bid) => {
+                        state.counters.out_of_block_reads += 1;
+                        self.read_value_at(bid, addr, state, 0)
+                    }
+                    None => {
+                        state.counters.missing_accesses += 1;
+                        None
+                    }
                 }
-                state.counters.missing_accesses += 1;
-                None
             }
         }
     }
@@ -832,6 +882,7 @@ impl<C> fmt::Debug for Env<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessCounters;
     use std::sync::Arc;
 
     /// Build the Fig. 2a example: a root joint, a boundary Arithmetic block on
@@ -1123,6 +1174,164 @@ mod tests {
                 match brute {
                     Some(expected) => prop_assert_eq!(bid, expected),
                     None => prop_assert!(env.block(bid).meta.catch_all),
+                }
+            }
+        }
+    }
+
+    /// `read` without the in-block hint is `resolve` then `read_resolved`:
+    /// a resolution computed once and replayed on later reads gives the same
+    /// values, all thirteen counters and the same missing-page list, in the
+    /// same order, whatever the tree shape, boundary kind and remote-block
+    /// validity — and even after validity changes between the two.
+    mod resolve_properties {
+        use super::*;
+        use crate::topology::{TilePlacement, TreeTopology};
+        use proptest::prelude::*;
+
+        /// An `nbx × nby` grid of `bx × by`-cell blocks under `topology`,
+        /// with a catch-all Arithmetic boundary (0), a Reference boundary that
+        /// clamps into the domain (1), or none (2: out-of-domain reads find
+        /// no block).  Every block but `start` is a remote
+        /// (Buffer-only) block: valid (0), invalid (1), or valid only on the
+        /// pages whose bit is set in `mask` (2).
+        #[allow(clippy::too_many_arguments)]
+        fn grid(
+            (nbx, nby): (usize, usize),
+            (bx, by): (usize, usize),
+            cpp: usize,
+            topology: TreeTopology,
+            boundary: u8,
+            start_sel: usize,
+            validity: u8,
+            mask: u64,
+        ) -> (Env<f64>, BlockId, Vec<BlockId>) {
+            let mut b = EnvBuilder::<f64>::new(PoolHandle::unbounded(), cpp);
+            let root = b.add_empty(None);
+            let tiles: Vec<TilePlacement> = (0..nbx * nby)
+                .map(|k| {
+                    let (tx, ty) = (k % nbx, k / nbx);
+                    TilePlacement::new(
+                        GlobalAddress::new2d((tx * bx) as i64, (ty * by) as i64),
+                        Extent::new2d(bx, by),
+                        crate::morton::morton2d(tx as u32, ty as u32),
+                    )
+                })
+                .collect();
+            let joints = topology.build_joints(&mut b, root, &tiles);
+            let data: Vec<BlockId> = tiles
+                .iter()
+                .zip(&joints)
+                .map(|(t, &j)| b.add_data(j, t.origin, t.extent, t.morton).unwrap())
+                .collect();
+            let (w, h) = ((nbx * bx) as i64, (nby * by) as i64);
+            match boundary {
+                0 => {
+                    b.add_arithmetic(
+                        root,
+                        Arc::new(|a: GlobalAddress| (a.x - 2 * a.y) as f64),
+                        true,
+                    );
+                }
+                1 => {
+                    let clamp = move |a: GlobalAddress| {
+                        GlobalAddress::new2d(a.x.clamp(0, w - 1), a.y.clamp(0, h - 1))
+                    };
+                    b.add_reference(root, data[0], Arc::new(clamp), true);
+                }
+                _ => {}
+            }
+            let mut env = b.build();
+            let start = data[start_sel % data.len()];
+            let remote: Vec<BlockId> = data.iter().copied().filter(|&id| id != start).collect();
+            for &id in &remote {
+                env.demote_to_buffer_only(id).unwrap();
+            }
+            for &id in &data {
+                let block = env.block(id);
+                for idx in 0..block.meta.extent.cells() {
+                    let la = block.meta.extent.delinearize(idx);
+                    let g = block.to_global(la);
+                    assert!(env.write_initial(id, la, (g.x * 100 + g.y) as f64 + 0.25));
+                }
+            }
+            for &id in &remote {
+                env.set_block_valid(id, validity == 0).unwrap();
+                if validity == 2 {
+                    for page in 0..env.num_pages(id).unwrap() {
+                        if mask >> (page % 64) & 1 == 1 {
+                            let payload = env.extract_page(id, page).unwrap();
+                            env.install_page(id, page, &payload).unwrap();
+                        }
+                    }
+                }
+            }
+            (env, start, remote)
+        }
+
+        proptest! {
+            #[test]
+            fn read_is_resolve_then_read_resolved(
+                nbx in 1usize..4,
+                nby in 1usize..4,
+                bx in 1usize..7,
+                by in 1usize..7,
+                cpp in 1usize..20,
+                topology_sel in 0u8..3,
+                group in 1usize..4,
+                boundary in 0u8..3,
+                start_sel in 0usize..16,
+                validity in 0u8..3,
+                mask in any::<u64>(),
+                mmat in any::<bool>(),
+            ) {
+                let topology = match topology_sel {
+                    0 => TreeTopology::Flat,
+                    1 => TreeTopology::MortonGroups { blocks_per_joint: group },
+                    _ => TreeTopology::Quadtree { max_leaf_blocks: group },
+                };
+                let (env, start, remote) =
+                    grid((nbx, nby), (bx, by), cpp, topology, boundary, start_sel, validity, mask);
+                // The starting block and a two-cell ring around it: in-block,
+                // neighbour-block and out-of-domain addresses.
+                let origin = env.block(start).meta.origin;
+                let addrs: Vec<GlobalAddress> = (-2..by as i64 + 2)
+                    .flat_map(|dy| (-2..bx as i64 + 2).map(move |dx| (dx, dy)))
+                    .map(|(dx, dy)| GlobalAddress::new2d(origin.x + dx, origin.y + dy))
+                    .collect();
+                let cached: Vec<Resolution> = addrs.iter().map(|&a| env.resolve(start, a)).collect();
+                let state = || if mmat { AccessState::with_mmat() } else { AccessState::new() };
+                let (mut direct, mut replay) = (state(), state());
+
+                for pass in 0..2 {
+                    // MMAT replays its own memo instead of searching; clear it
+                    // (as `WarmUp` does) so every direct read goes through
+                    // `resolve`, and count those misses separately.
+                    direct.reset_mmat();
+                    for (&addr, &resolution) in addrs.iter().zip(&cached) {
+                        let want = env.read(start, addr, false, &mut direct);
+                        let got = env.read_resolved(start, addr, resolution, &mut replay);
+                        prop_assert_eq!(got, want);
+                        if mmat {
+                            let entry = match resolution {
+                                Resolution::InBlock(idx) => MmatEntry::InBlock(idx),
+                                Resolution::Searched { block: Some(b), .. } => MmatEntry::Remote(b),
+                                Resolution::Searched { block: None, .. } => MmatEntry::NonExistent,
+                            };
+                            prop_assert_eq!(direct.mmat.peek(start, addr), Some(entry));
+                        }
+                    }
+                    let misses = if mmat { (addrs.len() * (pass + 1)) as u64 } else { 0 };
+                    prop_assert_eq!(direct.counters.mmat_misses, misses);
+                    let direct_counters = AccessCounters { mmat_misses: 0, ..direct.counters };
+                    prop_assert_eq!(direct_counters, replay.counters);
+                    prop_assert_eq!(replay.mmat.len(), 0, "read_resolved leaves MMAT alone");
+                    prop_assert_eq!(direct.take_missing(), replay.take_missing());
+                    // The tree is unchanged, validity is not: the kept
+                    // resolutions must see the remote blocks' new state.
+                    for &id in &remote {
+                        env.set_block_valid(id, true).unwrap();
+                    }
                 }
             }
         }

@@ -10,7 +10,11 @@
 //!    loads was cached at compile time);
 //! 2. execute the compiled kernel on the chosen backend, fetching only the
 //!    true out-of-block halo values through the platform (`GetD` without the
-//!    in-block assertion, so MMAT / Env-search accounting still applies);
+//!    in-block assertion, so MMAT / Env-search accounting still applies).
+//!    The halo reads go through the task's halo plan
+//!    ([`TaskCtx::halo_reads`]): the block's first step resolves each read
+//!    with the Env search and records it, later steps replay the recorded
+//!    resolution and count exactly what the search counted;
 //! 3. write the results back with the bulk `SetD` ([`TaskCtx::set_block`])
 //!    and finish the step with `refresh`, exactly like a hand-written kernel.
 //!
@@ -84,10 +88,11 @@ impl KernelScratch {
         ctx.get_block(bid, &mut self.cells);
         self.out.resize(cells, 0.0);
         let mut stats = ExecStats::default();
+        let mut halo = ctx.halo_reads(bid);
         compiled.execute_block(
             &self.cells,
             params,
-            &mut |x, y| ctx.get(bid, LocalAddress::new2d(x, y), false),
+            &mut |x, y| halo.get(LocalAddress::new2d(x, y)),
             &mut self.out,
             processor,
             &mut stats,

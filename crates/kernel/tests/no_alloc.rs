@@ -8,7 +8,7 @@
 
 use aohpc_aop::WovenProgram;
 use aohpc_dsl::{DslSystem, SGridSystem};
-use aohpc_env::Extent;
+use aohpc_env::{BlockId, BlockKind, Extent, LocalAddress, Resolution};
 use aohpc_kernel::{
     lit, load, param, CompiledKernel, ExecScratch, ExecStats, IrStencilApp, KernelScratch,
     OptLevel, Processor, ScratchPool, StencilProgram,
@@ -266,5 +266,87 @@ fn warm_ir_app_blocks_through_the_task_ctx_are_allocation_free() {
             assert_eq!(ctx.state.counters.writes - before.writes, cells);
             assert!(ctx.refresh());
         }
+    }
+}
+
+/// Regression: on rank 1 of a hybrid(2,1) run the halo reads of the blocks
+/// bordering rank 0 land in remote Buffer-only blocks, resolved once into
+/// the task's halo plans on the first step.  Every later step replays those
+/// plans and, like the serial path above, performs zero heap allocations.
+#[test]
+fn warm_hybrid_rank_replays_remote_halos_allocation_free() {
+    let (n, block) = (64usize, 16usize);
+    let topology = Topology::hybrid(2, 1);
+    let rank = 1;
+    // Rank 1's Env replica, built the way `execute` builds it: the
+    // other rank's Z-order half demoted to Buffer-only receive blocks, here
+    // already holding valid data (as after a page exchange).
+    let mut env = SGridSystem::with_block_size(RegionSize::square(n), block).build_env();
+    let parts = env.partition_by_morton(topology.ranks());
+    for (r, ids) in parts.iter().enumerate() {
+        for &id in ids {
+            env.block(id).meta.set_dm_tid(Some(topology.rank_master_task(r)));
+            env.block(id).meta.set_ch_tid(Some(topology.rank_master_task(r)));
+        }
+    }
+    let remote = parts[1 - rank].clone();
+    for &id in &remote {
+        env.demote_to_buffer_only(id).unwrap();
+        env.block(id).meta.set_dm_tid(Some(topology.rank_master_task(1 - rank)));
+        env.set_block_valid(id, true).unwrap();
+    }
+    let shared = Arc::new(RankShared::new(topology.clone(), rank, None, false));
+    let mut ctx = TaskCtx::new(
+        topology.slot(rank, 0),
+        Arc::new(env),
+        shared,
+        WovenProgram::unwoven(),
+        false,
+        false,
+    );
+    let program = StencilProgram::jacobi_5pt();
+    let params = [0.5, 0.125];
+    IrStencilApp::new(program.clone(), params.to_vec(), 1).initialize(&mut ctx);
+    let blocks = ctx.get_blocks();
+    assert_eq!(blocks, parts[rank]);
+    assert!(remote.iter().all(|&id| matches!(ctx.env().block(id).kind, BlockKind::BufferOnly(_))));
+    let env = ctx.env().clone();
+    let side = block as i64;
+    let lands_remote = |bid: BlockId| {
+        let origin = env.block(bid).meta.origin;
+        [(-1, 0), (0, -1), (side, 0), (0, side)].into_iter().any(|(dx, dy)| {
+            let addr = origin + LocalAddress::new2d(dx, dy);
+            matches!(env.resolve(bid, addr), Resolution::Searched { block: Some(r), .. } if remote.contains(&r))
+        })
+    };
+    assert!(blocks.iter().any(|&bid| lands_remote(bid)), "some halos land in remote blocks");
+    let compiled = CompiledKernel::compile(&program, Extent::new2d(block, block), OptLevel::Full);
+    let mut scratch = KernelScratch::default();
+    let proc = Processor::Scalar;
+    compiled.prepare_scratch(&mut scratch.exec, proc);
+
+    // First step: records the halo plans and sizes the staging vectors.
+    for &bid in &blocks {
+        scratch.step_block(&mut ctx, bid, &compiled, &params, proc);
+    }
+    assert!(ctx.refresh());
+    let first = std::mem::take(&mut ctx.state.counters);
+
+    for step in 2..=4u64 {
+        let (_, allocs) = aohpc_testalloc::count_in(|| {
+            for &bid in &blocks {
+                scratch.step_block(&mut ctx, bid, &compiled, &params, proc);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "step {step}: replayed remote halos must not touch the heap ({allocs} allocs over {} blocks)",
+            blocks.len()
+        );
+        // A replayed step counts exactly what the recording step counted,
+        // searches and visited nodes included, and finds every remote page.
+        assert_eq!(std::mem::take(&mut ctx.state.counters), first, "step {step}");
+        assert!(!ctx.state.has_missing());
+        assert!(ctx.refresh());
     }
 }

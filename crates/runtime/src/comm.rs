@@ -295,9 +295,12 @@ impl<C> ControlHandle<C> {
 }
 
 /// The one control-plane send implementation [`ControlHandle::send`] and
-/// [`Communicator::send_control`] share.  A frame is metered only once it is
-/// actually in the peer's channel — a send refused by a torn-down peer must
-/// not unbalance the quiesced-mesh `sent == received` ledger.
+/// [`Communicator::send_control`] share.  A frame is metered *before* it
+/// enters the peer's channel: the channel's send/receive pair orders the
+/// increment before the receiver's, so no receiver (nor anything that waited
+/// for its reply, such as a drained job) can see a frame the sender has not
+/// counted yet.  A send refused by a torn-down peer is un-metered, so it
+/// cannot unbalance the quiesced-mesh `sent == received` ledger either.
 fn send_control_frame<C>(
     senders: &[Sender<RankMessage<C>>],
     counters: &CommCounters,
@@ -308,15 +311,19 @@ fn send_control_frame<C>(
 ) -> bool {
     assert!(peer < senders.len(), "peer {peer} out of range");
     let len = bytes.len() as u64;
+    let meter = |op: fn(&AtomicU64, u64, Ordering) -> u64| {
+        if tag >= LIVENESS_TAG_BASE {
+            op(&counters.liveness_sent, 1, Ordering::Relaxed);
+        } else {
+            op(&counters.messages_sent, 1, Ordering::Relaxed);
+            op(&counters.control_sent, 1, Ordering::Relaxed);
+            op(&counters.bytes_sent, len, Ordering::Relaxed);
+        }
+    };
+    meter(AtomicU64::fetch_add);
     if senders[peer].send(RankMessage::Control { from, tag, bytes }).is_err() {
+        meter(AtomicU64::fetch_sub);
         return false;
-    }
-    if tag >= LIVENESS_TAG_BASE {
-        counters.liveness_sent.fetch_add(1, Ordering::Relaxed);
-    } else {
-        counters.messages_sent.fetch_add(1, Ordering::Relaxed);
-        counters.control_sent.fetch_add(1, Ordering::Relaxed);
-        counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
     }
     true
 }
@@ -993,5 +1000,17 @@ mod tests {
         assert_eq!((recv.control_received, recv.liveness_received), (1, 2));
         assert_eq!(recv.messages_received, 1);
         assert_eq!(recv.bytes_received, 2);
+    }
+
+    /// Control frames are metered before they enter the channel; a send the
+    /// torn-down peer refuses takes its metering back.
+    #[test]
+    fn refused_control_sends_leave_the_ledger_untouched() {
+        let mut comms = Communicator::<f64>::mesh(2);
+        drop(comms.pop());
+        let c0 = comms.pop().unwrap();
+        assert!(!c0.send_control(1, 1, vec![7, 7]));
+        assert!(!c0.control_handle().send(1, LIVENESS_TAG_BASE, vec![9]));
+        assert_eq!(c0.stats(), CommStats::default());
     }
 }

@@ -16,7 +16,7 @@ use crate::task::{ScratchSlot, TaskSlot, Topology};
 use aohpc_aop::{
     attr, JoinPointKind, WovenProgram, GET_BLOCKS, KERNEL_BLOCK, KERNEL_STEP, REFRESH, WARM_UP,
 };
-use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress};
+use aohpc_env::{AccessState, BlockId, Cell, Env, GlobalAddress, LocalAddress, Resolution};
 use aohpc_mem::PageId;
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -268,6 +268,11 @@ pub struct TaskCtx<C: Cell> {
     /// [`ScratchSlot`]).  Persists across steps and retries; dropped with the
     /// context when the task finishes.
     scratch: ScratchSlot,
+    /// Per-block halo plans, indexed by block id: the local address and
+    /// resolution of each halo read, in call order (see
+    /// [`TaskCtx::halo_reads`]).  They live exactly as long as this context,
+    /// and so as long as its `Arc<Env>`: a plan never outlives its tree.
+    halo_plans: Vec<Vec<HaloEntry>>,
     /// Run-level progress counters, bumped as this task completes steps.
     progress: Option<Arc<ProgressNotifier>>,
     warmup: bool,
@@ -298,6 +303,7 @@ impl<C: Cell> TaskCtx<C> {
             block_advised,
             state: if mmat { AccessState::with_mmat() } else { AccessState::new() },
             scratch: ScratchSlot::new(),
+            halo_plans: Vec::new(),
             progress: None,
             warmup: false,
             step: 0,
@@ -634,6 +640,26 @@ impl<C: Cell> TaskCtx<C> {
         self.env.read_local(block, local, in_block, &mut self.state).unwrap_or_default()
     }
 
+    /// Start the halo reads of one execution of `block`: the `GetD` reads
+    /// (no in-block assertion) a compiled kernel makes outside the block.
+    ///
+    /// The first execution of `block` resolves each read with
+    /// [`Env::resolve`] and records it in the block's plan, in call order;
+    /// later executions replay the recorded resolution by call index through
+    /// [`Env::read_resolved`].  Values, all counters (Env searches and
+    /// visited nodes included) and missing pages are exactly those of one
+    /// [`TaskCtx::get`] per read, but the Env search runs once per (block,
+    /// call) rather than once per step.  A call whose local address differs
+    /// from the recorded one is resolved afresh and rewrites the plan from
+    /// there on.  With MMAT enabled the plan is bypassed: MMAT's own hit and
+    /// miss counts are part of the model, so every read is a plain `get`.
+    pub fn halo_reads(&mut self, block: BlockId) -> HaloReads<'_, C> {
+        if self.halo_plans.is_empty() {
+            self.halo_plans.resize_with(self.env.len(), Vec::new);
+        }
+        HaloReads { ctx: self, block, next: 0 }
+    }
+
     /// Read a cell asserting it is inside the block (`GetDD`).
     pub fn get_dd(&mut self, block: BlockId, local: LocalAddress) -> C {
         self.get(block, local, true)
@@ -722,6 +748,94 @@ impl<C: Cell> TaskCtx<C> {
             steps: self.steps_done,
             retries: self.retries,
             state_bytes: self.state.footprint_bytes(),
+        }
+    }
+}
+
+/// The halo reads of one block execution (see [`TaskCtx::halo_reads`]).
+pub struct HaloReads<'a, C: Cell> {
+    ctx: &'a mut TaskCtx<C>,
+    block: BlockId,
+    /// Index of the next call in the block's plan.
+    next: usize,
+}
+
+impl<C: Cell> HaloReads<'_, C> {
+    /// Read the cell at `local` (relative to the block), missing data as
+    /// `C::default()` — the `GetD` form of [`TaskCtx::get`].
+    pub fn get(&mut self, local: LocalAddress) -> C {
+        let ctx = &mut *self.ctx;
+        if ctx.state.mmat_enabled {
+            return ctx.get(self.block, local, false);
+        }
+        let env = &*ctx.env;
+        let addr = env.block(self.block).to_global(local);
+        let packed = HaloEntry::pack_local(local);
+        let plan = &mut ctx.halo_plans[self.block];
+        // The resolution depends on the address alone, so a recorded entry
+        // is valid for any call that asks for its local address.
+        let resolution = match plan.get(self.next) {
+            Some(entry) if Some(entry.local) == packed => entry.resolution(),
+            _ => {
+                plan.truncate(self.next);
+                let resolution = env.resolve(self.block, addr);
+                plan.extend(packed.and_then(|local| HaloEntry::pack(local, resolution)));
+                resolution
+            }
+        };
+        self.next += 1;
+        env.read_resolved(self.block, addr, resolution, &mut ctx.state).unwrap_or_default()
+    }
+}
+
+/// One recorded halo read, packed to 24 bytes so the plans (one entry per
+/// halo read of every block a task computes) leave a job's peak heap flat.
+#[derive(Debug, Clone, Copy)]
+struct HaloEntry {
+    local: [i32; 3],
+    resolution: PackedResolution,
+}
+
+const _: () = assert!(std::mem::size_of::<HaloEntry>() == 24);
+
+/// A [`Resolution`] with 32-bit fields.
+#[derive(Debug, Clone, Copy)]
+enum PackedResolution {
+    InBlock(u32),
+    Found { block: u32, visited: u32 },
+    Missing { visited: u32 },
+}
+
+impl HaloEntry {
+    fn pack_local(local: LocalAddress) -> Option<[i32; 3]> {
+        Some([local.dx.try_into().ok()?, local.dy.try_into().ok()?, local.dz.try_into().ok()?])
+    }
+
+    /// `None` when a field needs more than 32 bits; such a read is resolved
+    /// afresh on every execution.
+    fn pack(local: [i32; 3], resolution: Resolution) -> Option<Self> {
+        let resolution = match resolution {
+            Resolution::InBlock(idx) => PackedResolution::InBlock(idx.try_into().ok()?),
+            Resolution::Searched { block: Some(block), visited } => PackedResolution::Found {
+                block: block.try_into().ok()?,
+                visited: visited.try_into().ok()?,
+            },
+            Resolution::Searched { block: None, visited } => {
+                PackedResolution::Missing { visited: visited.try_into().ok()? }
+            }
+        };
+        Some(HaloEntry { local, resolution })
+    }
+
+    fn resolution(self) -> Resolution {
+        match self.resolution {
+            PackedResolution::InBlock(idx) => Resolution::InBlock(idx as usize),
+            PackedResolution::Found { block, visited } => {
+                Resolution::Searched { block: Some(block as usize), visited: visited.into() }
+            }
+            PackedResolution::Missing { visited } => {
+                Resolution::Searched { block: None, visited: visited.into() }
+            }
         }
     }
 }

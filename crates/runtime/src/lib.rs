@@ -45,7 +45,7 @@ pub use comm::{
     LIVENESS_TAG_BASE,
 };
 pub use cost::{CostModel, CostParams};
-pub use ctx::{Progress, ProgressNotifier, RankShared, TaskCtx};
+pub use ctx::{HaloReads, Progress, ProgressNotifier, RankShared, TaskCtx};
 pub use driver::{execute, RunConfig, WeaveMode};
 pub use report::{RankReport, RunReport, RunSummary, TaskReport};
 // `RunReport::pool_stats` is a public field of this type; re-export it so

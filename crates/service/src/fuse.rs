@@ -534,9 +534,9 @@ fn fused_step(
                 for (m, k) in compiled.iter().enumerate() {
                     fused_params.extend_from_slice(&members[m].params[..k.num_params()]);
                 }
-                let mut halo = |m: usize, x: i64, y: i64| {
-                    members[m].ctx.get(bid, LocalAddress::new2d(x, y), false)
-                };
+                let mut halos: Vec<_> =
+                    members.iter_mut().map(|member| member.ctx.halo_reads(bid)).collect();
+                let mut halo = |m: usize, x: i64, y: i64| halos[m].get(LocalAddress::new2d(x, y));
                 fused.execute_block(
                     &cells_buf,
                     &fused_params,
@@ -552,8 +552,8 @@ fn fused_step(
                     let (bid_m, proc_m) = schedules[m][i];
                     k.prepare_scratch(scratch, proc_m);
                     let Member { params, ctx, .. } = &mut members[m];
-                    let mut halo =
-                        |x: i64, y: i64| ctx.get(bid_m, LocalAddress::new2d(x, y), false);
+                    let mut halos = ctx.halo_reads(bid_m);
+                    let mut halo = |x: i64, y: i64| halos.get(LocalAddress::new2d(x, y));
                     k.execute_block(
                         &cells_buf[m * b..(m + 1) * b],
                         params,
